@@ -19,7 +19,7 @@ from repro.core.containment import jaccard_to_containment
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
 
-__all__ = ["estimate_containment", "rank_candidates"]
+__all__ = ["estimate_containment", "rank_candidates", "rank_order"]
 
 
 def estimate_containment(query_signature: MinHash | LeanMinHash,
@@ -65,11 +65,15 @@ def rank_candidates(query_signature: MinHash | LeanMinHash,
     Ties break on the key's string form so the order is deterministic.
     """
     sizes = sizes or {}
-    scored = [
+    return rank_order(
         (key,
          estimate_containment(query_signature, sig, query_size,
                               sizes.get(key)))
-        for key, sig in candidates.items()
-    ]
-    scored.sort(key=lambda pair: (-pair[1], str(pair[0])))
-    return scored
+        for key, sig in candidates.items())
+
+
+def rank_order(scored) -> list[tuple[object, float]]:
+    """``(key, score)`` pairs best first: descending score, ties broken
+    on the key's string form.  The one ranking order — local rankings
+    and the router's merge of shard-scored candidates both use it."""
+    return sorted(scored, key=lambda pair: (-pair[1], str(pair[0])))

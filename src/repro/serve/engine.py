@@ -199,11 +199,12 @@ class ServingEngine:
     def dispatch(self, group_key, payloads) -> list:
         """Answer one coalesced group through the vectorised batch path.
 
-        ``group_key`` is ``("query", seed, threshold)`` or
+        ``group_key`` is ``("query", seed, threshold, scored)`` or
         ``("top_k", seed, k, min_threshold)``; ``payloads`` is a list of
         ``(hashvalues_row, size)``.  Returns one JSON-ready result per
         payload: a ``sorted(..., key=str)`` key list for threshold
-        queries, a ``[key, score]`` ranking for top-k.
+        queries, a ``[key, score]`` ranking of every hit for scored
+        threshold queries, a ``[key, score]`` top-``k`` for top-k.
         """
         kind, seed = group_key[0], group_key[1]
         matrix = np.vstack([row for row, _ in payloads])
@@ -211,17 +212,21 @@ class ServingEngine:
         batch = SignatureBatch(None, matrix, seed=seed)
         target = self._query_target
         if kind == "query":
-            threshold = group_key[2]
-            found = target.query_batch(batch, sizes=sizes,
-                                       threshold=threshold)
-            return [sorted_keys(f) for f in found]
-        if kind == "top_k":
+            threshold, scored = group_key[2], group_key[3]
+            if not scored:
+                found = target.query_batch(batch, sizes=sizes,
+                                           threshold=threshold)
+                return [sorted_keys(f) for f in found]
+            ranked = target.query_batch_scored(batch, sizes=sizes,
+                                               threshold=threshold)
+        elif kind == "top_k":
             k, min_threshold = group_key[2], group_key[3]
             ranked = target.query_top_k_batch(
                 batch, k, sizes=sizes, min_threshold=min_threshold)
-            return [[[key, float(score)] for key, score in row]
-                    for row in ranked]
-        raise ValueError("unknown dispatch kind %r" % (kind,))
+        else:
+            raise ValueError("unknown dispatch kind %r" % (kind,))
+        return [[[key, float(score)] for key, score in row]
+                for row in ranked]
 
     @staticmethod
     def digest(group_key, row: np.ndarray, size: int) -> bytes:

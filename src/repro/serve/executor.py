@@ -8,8 +8,10 @@ not scale.  This module names the contract once:
 
 :class:`ShardExecutor` is the query surface for **one shard backend** —
 the four vectorised/batch query paths, the single-query forms, the
-candidate-pool fetch the global top-k ladder needs, and the mutation
-epoch that stamps every answer.  Implementations:
+scored threshold round a router's global top-k ladder runs (each hit
+with its containment score, computed where the signature lives), the
+stored-signature fetch, and the mutation epoch that stamps every
+answer.  Implementations:
 
 * :class:`InProcessExecutor` — today's path: the built index object
   itself (flat :class:`~repro.core.ensemble.LSHEnsemble` or a whole
@@ -63,11 +65,14 @@ class EpochConsistencyError(RuntimeError):
 class ShardExecutor(abc.ABC):
     """Query surface for one shard backend; see the module docstring.
 
-    The five query paths mirror the index surface exactly
-    (``query`` / ``query_batch`` / ``query_top_k`` /
-    ``query_top_k_batch`` plus the signature/size pool fetch that backs
-    global top-k ranking), so an executor can stand in anywhere an
-    index could answer queries.
+    Four query paths mirror the index surface exactly (``query`` /
+    ``query_batch`` / ``query_top_k`` / ``query_top_k_batch``), so an
+    executor can stand in anywhere an index could answer queries.  Two
+    more serve the router: :meth:`query_batch_scored_with_epoch` is one
+    rung of its global top-k ladder — every hit comes back with its
+    containment score, so the router ranks the union by merging scores
+    and never ships a signature — and :meth:`signatures_for` reads
+    stored signatures back for inspection.
     """
 
     #: Human-readable transport kind ("thread" / "process" / "remote").
@@ -97,12 +102,31 @@ class ShardExecutor(abc.ABC):
         """Single-signature top-k ranking."""
 
     @abc.abstractmethod
+    def query_batch_scored_with_epoch(self, batch,
+                                      sizes: Sequence[int] | None = None,
+                                      threshold: float | None = None,
+                                      ) -> tuple[list[list], int]:
+        """``query_batch`` with every hit scored, plus the epoch.
+
+        One ``[(key, score), ...]`` ranking of *all* of a row's hits,
+        as :func:`~repro.core.estimation.rank_candidates` scores and
+        orders them against the stored signatures and sizes.  The
+        probe, the scores and the epoch all reflect one state.
+        """
+
+    def query_batch_scored(self, batch, sizes: Sequence[int] | None = None,
+                           threshold: float | None = None) -> list[list]:
+        """:meth:`query_batch_scored_with_epoch` without the epoch."""
+        return self.query_batch_scored_with_epoch(
+            batch, sizes=sizes, threshold=threshold)[0]
+
+    @abc.abstractmethod
     def signatures_for(self, keys: Sequence[Hashable],
                        ) -> tuple[dict, dict]:
         """``(signatures, sizes)`` for the keys this shard holds.
 
         Keys the shard does not hold are silently absent — the router
-        unions candidate pools across shards, so absence means "someone
+        unions the answers across shards, so absence means "someone
         else's key", not an error.
         """
 
@@ -197,6 +221,27 @@ class _IndexBackedExecutor(ShardExecutor):
     def query_top_k(self, signature, k, size=None, min_threshold=0.05):
         return self._target.query_top_k(signature, k, size=size,
                                         min_threshold=min_threshold)
+
+    def query_batch_scored_with_epoch(self, batch, sizes=None,
+                                      threshold=None):
+        from repro.core.ensemble import _as_batch
+        from repro.core.estimation import rank_candidates
+
+        sb = _as_batch(batch)
+        qs = ([int(s) for s in sizes] if sizes is not None
+              else [max(1, int(c)) for c in sb.counts()])
+        # Probe and score under one hold of the index lock, as
+        # LSHEnsemble.query_top_k_batch does: a write cannot drop a hit
+        # between the two, and the epoch names the state both saw.
+        with self._index.locked():
+            found = self._target.query_batch(sb, sizes=qs,
+                                             threshold=threshold)
+            ranked = []
+            for j, hits in enumerate(found):
+                pool, pool_sizes = self.signatures_for(hits)
+                ranked.append(rank_candidates(
+                    sb[j], pool, query_size=qs[j], sizes=pool_sizes))
+            return ranked, int(self._index.mutation_epoch)
 
     def signatures_for(self, keys):
         shards = (self._index.shards

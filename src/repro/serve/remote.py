@@ -207,15 +207,26 @@ class ShardNodeClient:
     def stats(self) -> dict:
         return self._json_call("GET", "/stats")
 
-    def query(self, items: list[dict],
-              threshold: float | None) -> tuple[list[set], int]:
-        """POST ``/query``; returns per-item hit sets + the epoch."""
+    def query(self, items: list[dict], threshold: float | None,
+              scored: bool = False) -> tuple[list, int]:
+        """POST ``/query``; returns per-item hit sets + the epoch.
+
+        With ``scored`` each item's hits come back as a ``[(key,
+        score), ...]`` ranking: the node scores its own candidates (a
+        rung of the router's top-k ladder)."""
         payload: dict = {"queries": items}
         if threshold is not None:
             payload["threshold"] = threshold
+        if scored:
+            payload["scored"] = True
         data = self._json_call("POST", "/query", payload)
-        results = [{restore_key(key) for key in found}
-                   for found in data["results"]]
+        if scored:
+            results = [[(restore_key(key), float(score))
+                        for key, score in ranked]
+                       for ranked in data["results"]]
+        else:
+            results = [{restore_key(key) for key in found}
+                       for found in data["results"]]
         return results, int(data["mutation_epoch"])
 
     def query_top_k(self, items: list[dict], k: int,
@@ -439,7 +450,8 @@ class RemoteShardExecutor(ShardExecutor):
             out.extend(results)
         return out, int(epoch if epoch is not None else 0)
 
-    def query_batch_with_epoch(self, batch, sizes=None, threshold=None):
+    def _query_round(self, batch, sizes, threshold,
+                     scored: bool) -> tuple[list, int]:
         sb, sizes = self._normalise(batch, sizes)
         if len(sb) == 0:
             return [], self.mutation_epoch
@@ -447,10 +459,18 @@ class RemoteShardExecutor(ShardExecutor):
 
         def op(client):
             return self._chunked(
-                items, lambda chunk: client.query(chunk, threshold))
+                items, lambda chunk: client.query(chunk, threshold,
+                                                  scored=scored))
 
         results, epoch = self._call(op)
         return results, self._note_epoch(epoch)
+
+    def query_batch_with_epoch(self, batch, sizes=None, threshold=None):
+        return self._query_round(batch, sizes, threshold, scored=False)
+
+    def query_batch_scored_with_epoch(self, batch, sizes=None,
+                                      threshold=None):
+        return self._query_round(batch, sizes, threshold, scored=True)
 
     def query_batch(self, batch, sizes=None, threshold=None):
         return self.query_batch_with_epoch(batch, sizes=sizes,
@@ -491,16 +511,13 @@ class RemoteShardExecutor(ShardExecutor):
                                       min_threshold=min_threshold)[0]
 
     def signatures_for(self, keys):
-        pool, sizes, epoch = self.signatures_with_epoch(keys)
-        return pool, sizes
-
-    def signatures_with_epoch(self, keys) -> tuple[dict, dict, int]:
         keys = list(keys)
         if not keys:
-            return {}, {}, self.mutation_epoch
+            return {}, {}
         pool, sizes, epoch = self._call(
             lambda client: client.signatures(keys))
-        return pool, sizes, self._note_epoch(epoch)
+        self._note_epoch(epoch)
+        return pool, sizes
 
     # -------------------------- write path -------------------------- #
 

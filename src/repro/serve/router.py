@@ -19,11 +19,14 @@ Query semantics (mirroring :class:`~repro.parallel.sharded
   it chunk-to-chunk) and the response is tagged with the **minimum**
   epoch observed across shards — the staleness floor.
 * ``query_top_k[_batch]`` — the *global* threshold ladder: every rung
-  is a cluster-wide fan-out, candidate recovery and the stop rule see
-  the union over shards, and the final ranking runs locally over
-  candidate signatures fetched from their owning shards
-  (``POST /signatures``), preserving the flat index's ordering and
-  tie-breaks bit for bit.
+  is one cluster-wide fan-out of scored threshold queries
+  (``"scored": true`` on ``/query``), and candidate recovery and the
+  stop rule see the union over shards.  Each shard scores its own hits
+  (a candidate's containment estimate depends only on the query and
+  that candidate), so the router merges ``{key: score}`` across rungs
+  and shards and keeps the best ``k`` under
+  :func:`~repro.core.estimation.rank_order` — the flat index's
+  ordering and tie-breaks, bit for bit, with no signature shipped.
 
 **Epoch consistency.**  A ladder is multi-round, so a shard mutating
 mid-ladder could leak a mix of pre- and post-mutation candidates into
@@ -77,10 +80,10 @@ import numpy as np
 from repro.core.ensemble import (
     _as_batch,
     _as_lean,
-    _ladder_candidates,
     _ladder_candidates_batch,
     _validate_topk_args,
 )
+from repro.core.estimation import rank_order
 from repro.minhash.batch import SignatureBatch
 from repro.serve.engine import ServingEngine
 from repro.serve.executor import (
@@ -437,13 +440,19 @@ class RouterIndex:
                 merged[j] |= hits
         return merged
 
-    def _batch_round(self, sb: SignatureBatch, sizes: list[int],
-                     threshold, tracker: dict | None) -> list[set]:
+    def _scored_round(self, sb: SignatureBatch, sizes: list[int],
+                      threshold, tracker: dict | None) -> list[dict]:
+        """One fan-out of scored threshold queries: per row, the
+        ``{key: score}`` union of the shards' rankings."""
         per_shard = self._fanout(
-            lambda ex: ex.query_batch_with_epoch(
+            lambda ex: ex.query_batch_scored_with_epoch(
                 sb, sizes=sizes, threshold=threshold),
             tracker=tracker)
-        return self._merge_rows(per_shard, len(sb))
+        merged: list[dict] = [{} for _ in range(len(sb))]
+        for shard_rows in per_shard.values():
+            for j, scored in enumerate(shard_rows):
+                merged[j].update(scored)
+        return merged
 
     def _normalise(self, batch, sizes):
         sb = _as_batch(batch)
@@ -461,7 +470,10 @@ class RouterIndex:
         sb, sizes = self._normalise(batch, sizes)
         if len(sb) == 0:
             return []
-        return self._batch_round(sb, sizes, threshold, tracker=None)
+        per_shard = self._fanout(
+            lambda ex: ex.query_batch_with_epoch(
+                sb, sizes=sizes, threshold=threshold))
+        return self._merge_rows(per_shard, len(sb))
 
     def query(self, signature, size: int | None = None,
               threshold: float | None = None) -> set:
@@ -470,28 +482,26 @@ class RouterIndex:
         return self.query_batch([lean], sizes=[q],
                                 threshold=threshold)[0]
 
-    def signatures_for(self, keys) -> tuple[dict, dict]:
-        pool, sizes = self._pool_fetch(list(keys), tracker=None)
-        return pool, sizes
+    def query_batch_scored(self, batch, sizes: Sequence[int] | None = None,
+                           threshold: float | None = None) -> list[list]:
+        """``query_batch`` with every hit ranked by its containment
+        score (the ``"scored": true`` form of ``/query``)."""
+        sb, sizes = self._normalise(batch, sizes)
+        if len(sb) == 0:
+            return []
+        return [rank_order(row.items()) for row in
+                self._scored_round(sb, sizes, threshold, tracker=None)]
 
-    def _pool_fetch(self, keys: list, tracker: dict | None,
-                    ) -> tuple[dict, dict]:
-        """Candidate signatures/sizes, unioned from their owning
-        shards; participates in the ladder's epoch tracking."""
+    def signatures_for(self, keys) -> tuple[dict, dict]:
+        """Stored ``(signatures, sizes)`` for ``keys``, unioned over the
+        shards that hold them; absent keys are left out."""
+        # Deterministic wire order (diagnostics); shards return only
+        # the keys they hold.
+        keys = sorted(keys, key=str)
         if not keys:
             return {}, {}
-        # Deterministic wire order (diagnostics); shards return only
-        # the keys they hold, the union is disjoint by construction.
-        keys = sorted(keys, key=str)
-
-        def op(executor):
-            if hasattr(executor, "signatures_with_epoch"):
-                pool, sizes, epoch = executor.signatures_with_epoch(keys)
-                return (pool, sizes), epoch
-            pool, sizes = executor.signatures_for(keys)
-            return (pool, sizes), executor.mutation_epoch
-
-        per_shard = self._fanout(op, tracker=tracker)
+        per_shard = self._fanout(
+            lambda ex: (ex.signatures_for(keys), ex.mutation_epoch))
         pool: dict = {}
         sizes: dict = {}
         for shard_pool, shard_sizes in per_shard.values():
@@ -499,66 +509,24 @@ class RouterIndex:
             sizes.update(shard_sizes)
         return pool, sizes
 
-    def _rank(self, query_signature, query_size: int, candidates,
-              pool: dict, sizes: dict, k: int) -> list:
-        """Rank one row's candidates exactly as the flat index would.
-
-        A candidate the pool fetch could not resolve means the cluster
-        changed between the rung that surfaced it and the fetch — in
-        strict mode that is an epoch inconsistency (restart the
-        ladder); in partial mode its shard is down and the key is
-        dropped with the rest of that shard's answers.
-        """
-        from repro.core.estimation import rank_candidates
-
-        missing = [key for key in candidates if key not in pool]
-        if missing and not self.partial:
-            raise _LadderRestart(repr(missing[0]), -1, -1)
-        row_pool = {key: pool[key] for key in candidates
-                    if key in pool}
-        row_sizes = {key: sizes[key] for key in row_pool}
-        return rank_candidates(query_signature, row_pool,
-                               query_size=query_size,
-                               sizes=row_sizes)[:k]
-
     def query_top_k(self, signature, k: int, size: int | None = None,
                     min_threshold: float = 0.05) -> list:
-        _validate_topk_args(k, min_threshold)
         lean = _as_lean(signature)
         q = int(size) if size is not None else max(1, lean.count())
-        restart: _LadderRestart | None = None
-        for _ in range(self.max_ladder_restarts + 1):
-            tracker: dict = {}
-            try:
-                candidates = _ladder_candidates(
-                    lambda threshold: self._batch_round(
-                        _as_batch([lean]), [q], threshold, tracker)[0],
-                    k, min_threshold)
-                pool, sizes = self._pool_fetch(list(candidates), tracker)
-                return self._rank(lean, q, candidates, pool, sizes, k)
-            except _LadderRestart as exc:
-                restart = exc
-                with self._lock:
-                    self._counters["ladder_restarts"] += 1
-        raise EpochConsistencyError(
-            "top-k ladder restarted %d times without observing a "
-            "stable cluster (last offender: shard %s)"
-            % (self.max_ladder_restarts, restart.shard))
+        return self.query_top_k_batch([lean], k, sizes=[q],
+                                      min_threshold=min_threshold)[0]
 
     def query_top_k_batch(self, batch, k: int,
                           sizes: Sequence[int] | None = None,
                           min_threshold: float = 0.05) -> list[list]:
         _validate_topk_args(k, min_threshold)
         sb, qs = self._normalise(batch, sizes)
-        n = len(sb)
-        if n == 0:
+        if len(sb) == 0:
             return []
         restart: _LadderRestart | None = None
         for _ in range(self.max_ladder_restarts + 1):
-            tracker = {}
             try:
-                return self._top_k_batch_once(sb, n, k, qs,
-                                              min_threshold, tracker)
+                return self._top_k_batch_once(sb, k, qs, min_threshold)
             except _LadderRestart as exc:
                 restart = exc
                 with self._lock:
@@ -568,19 +536,24 @@ class RouterIndex:
             "stable cluster (last offender: shard %s)"
             % (self.max_ladder_restarts, restart.shard))
 
-    def _top_k_batch_once(self, sb, n: int, k: int, qs: list[int],
-                          min_threshold: float, tracker: dict,
-                          ) -> list[list]:
+    def _top_k_batch_once(self, sb, k: int, qs: list[int],
+                          min_threshold: float) -> list[list]:
+        """One ladder walk: each rung is one scored fan-out over the
+        rows still short of ``k`` candidates; every shard's epoch must
+        hold still across the rungs (``tracker``)."""
+        tracker: dict = {}
+        scores: list[dict] = [{} for _ in range(len(sb))]
+
         def rung(rows, threshold):
             sub = SignatureBatch(None, sb.take(rows), seed=sb.seed)
-            return self._batch_round(sub, [qs[j] for j in rows],
-                                     threshold, tracker)
+            found = self._scored_round(sub, [qs[j] for j in rows],
+                                       threshold, tracker)
+            for j, scored in zip(rows, found):
+                scores[j].update(scored)
+            return [set(scored) for scored in found]
 
-        candidates = _ladder_candidates_batch(rung, n, k, min_threshold)
-        all_keys = {key for per_row in candidates for key in per_row}
-        pool, sizes = self._pool_fetch(list(all_keys), tracker)
-        return [self._rank(sb[j], qs[j], candidates[j], pool, sizes, k)
-                for j in range(n)]
+        _ladder_candidates_batch(rung, len(sb), k, min_threshold)
+        return [rank_order(row.items())[:k] for row in scores]
 
     # -------------------------- write path -------------------------- #
 
@@ -809,6 +782,12 @@ class _RouterExecutor(InProcessExecutor):
 
     def signatures_for(self, keys):
         return self._index.signatures_for(keys)
+
+    def query_batch_scored_with_epoch(self, batch, sizes=None,
+                                      threshold=None):
+        epoch = self.mutation_epoch
+        return self._index.query_batch_scored(
+            batch, sizes=sizes, threshold=threshold), epoch
 
     # Writes go through the router's own placement-routed, quorum-acked
     # path (the index-backed default probes ``key in index``, which a

@@ -25,17 +25,22 @@ Endpoints::
 
     GET  /healthz      liveness + key count + generation/epoch
     GET  /stats        tier sizes, drift_stats(), cache + coalescer
-    POST /query        {"queries": [...], "threshold": 0.6}
+    POST /query        {"queries": [...], "threshold": 0.6,
+                        "scored": false}
     POST /query_top_k  {"queries": [...], "k": 5, "min_threshold": 0.05}
     POST /signatures   {"keys": [...]} -> stored signatures + sizes
     GET  /snapshot     packed index snapshot (replica bootstrap)
     POST /insert       {"entries": [{"key": ..., <signature|values>}]}
     POST /remove       {"keys": [...]} -> removal flags + new epoch
 
-``/signatures`` and ``/snapshot`` exist for the distributed tier: the
-router (:mod:`repro.serve.router`) fetches candidate signatures for
-its global top-k ranking through the former, and a new replica
-bootstraps its whole index from a peer through the latter.
+``"scored": true`` on ``/query`` answers each row as
+``[[key, score], ...]``, best first: every hit with its containment
+estimate against the stored signature and size, the score
+``/query_top_k`` ranks by.  The router (:mod:`repro.serve.router`) runs
+each rung of its global top-k ladder this way, so shards score their
+own candidates and the router only merges.  ``/signatures`` reads
+stored signatures back (replica inspection), and a new replica
+bootstraps its whole index from a peer through ``/snapshot``.
 
 ``/insert`` and ``/remove`` are the write path.  Both are idempotent —
 inserting a key the index already holds (or removing an absent one)
@@ -82,8 +87,7 @@ __all__ = ["QueryServer", "ServerHandle", "start_in_thread",
 # Bound on queries inside one HTTP request body: a single request must
 # not monopolise the coalescer's admission budget.
 MAX_QUERIES_PER_REQUEST = 256
-# Bound on keys inside one /signatures request (ladder candidate pools
-# are small — k * a few rungs — so this is generous).
+# Bound on keys inside one /signatures or /remove request.
 MAX_KEYS_PER_REQUEST = 65536
 # Bounds on the HTTP request itself — admission control is pointless if
 # a single connection can buffer an arbitrarily large body or header
@@ -573,9 +577,12 @@ class QueryServer:
     async def _handle_query(self, body: bytes) -> tuple[int, dict]:
         data = _parse_body(body)
         threshold = _parse_threshold(data)
+        scored = data.get("scored", False)
+        if not isinstance(scored, bool):
+            raise RequestError("scored must be true or false")
         parsed = self._parse_queries(data)
         return await self._answer(
-            lambda seed: ("query", seed, threshold), parsed)
+            lambda seed: ("query", seed, threshold, scored), parsed)
 
     async def _handle_top_k(self, body: bytes) -> tuple[int, dict]:
         data = _parse_body(body)

@@ -33,25 +33,32 @@ from repro.serve.executor import EpochConsistencyError, InProcessExecutor
 from repro.serve.router import RouterIndex, RouterServer
 
 
+# Large enough that every ladder over these queries walks at least two
+# rungs: a one-rung ladder answers from a single epoch per shard, so it
+# is consistent by construction and leaves no gap to mutate in.
+LADDER_K = 10
+
+
 class MutatingExecutor(InProcessExecutor):
     """In-process shard executor that mutates its own index *between*
     ladder rounds — the capture-then-mutate race, made deterministic.
 
     ``mutations`` is a list of callables; one is popped and applied
-    after each batch round answers (at the pre-mutation epoch), so the
-    *next* round observes a different epoch.
+    after each scored ladder round answers (at the pre-mutation epoch),
+    so the *next* round observes a different epoch.
     """
 
     def __init__(self, index, mutations) -> None:
         super().__init__(index)
         self.mutations = list(mutations)
 
-    def query_batch_with_epoch(self, batch, sizes=None, threshold=None):
-        epoch = self.mutation_epoch
-        found = self.query_batch(batch, sizes=sizes, threshold=threshold)
+    def query_batch_scored_with_epoch(self, batch, sizes=None,
+                                      threshold=None):
+        scored, epoch = super().query_batch_scored_with_epoch(
+            batch, sizes=sizes, threshold=threshold)
         if self.mutations:
             self.mutations.pop(0)()
-        return found, epoch
+        return scored, epoch
 
 
 def _mutation(index, factory, j):
@@ -86,9 +93,9 @@ def test_mid_ladder_mutation_restarts_and_answers_consistently(
 
     matrix, sizes, _ = query_rows(corpus, n=4)
     with RouterIndex.from_executors(executors) as router:
-        got = router.query_top_k_batch(matrix, 5, sizes=sizes)
+        got = router.query_top_k_batch(matrix, LADDER_K, sizes=sizes)
         assert router.stats()["ladder_restarts"] >= 1
-    assert got == flat.query_top_k_batch(matrix, 5, sizes=sizes)
+    assert got == flat.query_top_k_batch(matrix, LADDER_K, sizes=sizes)
 
 
 def test_restart_budget_exhaustion_raises_not_mixes(entries, corpus,
@@ -106,7 +113,7 @@ def test_restart_budget_exhaustion_raises_not_mixes(entries, corpus,
             "shard_001": InProcessExecutor(shard_indexes[1]),
     }, max_ladder_restarts=2) as router:
         with pytest.raises(EpochConsistencyError):
-            router.query_top_k_batch(matrix, 5, sizes=sizes)
+            router.query_top_k_batch(matrix, LADDER_K, sizes=sizes)
         assert router.stats()["ladder_restarts"] == 3  # initial + 2 retries
 
 
@@ -126,7 +133,8 @@ def test_restart_budget_exhaustion_maps_to_503(entries, corpus,
                              server_factory=RouterServer) as handle:
             request = urllib.request.Request(
                 "http://127.0.0.1:%d/query_top_k" % handle.port,
-                data=json.dumps({"queries": items, "k": 5}).encode(),
+                data=json.dumps({"queries": items,
+                                 "k": LADDER_K}).encode(),
                 headers={"Content-Type": "application/json"},
                 method="POST")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
